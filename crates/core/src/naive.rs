@@ -117,9 +117,9 @@ pub fn bi_rknn(
 /// position is snapped onto the network and `o` answers iff fewer than
 /// `k` other objects lie strictly closer to `o` (in shortest-path
 /// distance) than `q` does. Quadratic, no pruning — the gate the
-/// network monitors are held to. Distances use the same fixed argument
-/// orientation as the monitors (query first, candidate first for
-/// blocking), so agreement is bit-exact. Result sorted by id.
+/// network monitors are held to. Network distance is symmetric bit for
+/// bit ([`NetworkSpace::dist`]), so agreement is bit-exact. Result sorted
+/// by id.
 pub fn mono_rknn_net(
     ns: &NetworkSpace,
     scratch: &mut NetScratch,

@@ -31,11 +31,14 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use igern_geom::{Aabb, Point, Segment};
 use igern_grid::{Grid, ObjectId};
 use igern_mobgen::RoadNetwork;
+
+use crate::net_monitor::BlockerTable;
 
 /// Relative slack applied when a floating-point Euclidean distance is
 /// used as a lower bound for a network distance. Graph distances are
@@ -300,12 +303,13 @@ impl NetworkSpace {
     /// endpoint route combinations. `∞` when `p` and `q` lie in
     /// different components.
     ///
-    /// The evaluation order is fixed, so for a given argument order the
-    /// result is bit-reproducible; monitors and oracles call it with the
-    /// same orientation (query first for query distances, candidate
-    /// first for blocking distances) and therefore compare identical
-    /// floats.
+    /// Symmetric bit for bit: the arguments are put in a canonical order
+    /// before the float sums run, so `dist(p, q)` and `dist(q, p)` are
+    /// the same float, and monitors and oracles compare identical floats
+    /// whichever way round they ask.
     pub fn dist(&self, scratch: &mut NetScratch, p: &NetPos, q: &NetPos) -> f64 {
+        let key = |x: &NetPos| (x.edge, x.d_a.to_bits(), x.d_b.to_bits());
+        let (p, q) = if key(p) <= key(q) { (p, q) } else { (q, p) };
         let pe = self.edges[p.edge as usize];
         let qe = self.edges[q.edge as usize];
         let mut best = if p.edge == q.edge {
@@ -359,14 +363,19 @@ impl Ord for HeapItem {
 
 /// Per-lane mutable state for network-distance evaluation: the memoized
 /// single-source Dijkstra maps (keyed by anchor node, never invalidated
-/// — the graph is static) and the reusable expansion heap. Lives inside
-/// `EvalScratch`; a warm scratch makes network ticks allocation-free.
+/// — the graph is static), the reusable expansion heap, and the
+/// k-nearest-blocker tables of the RkNN monitors (keyed by the view's
+/// [`NetView::stamp`], so they refill after any store mutation). Lives
+/// inside `EvalScratch`; a warm scratch makes network ticks
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct NetScratch {
     maps: Vec<Option<Box<[f64]>>>,
     heap: BinaryHeap<HeapItem>,
     /// Top-k staging for the network kNN monitor.
     pub(crate) knn: Vec<(f64, ObjectId)>,
+    /// One blocker table per `(blocker class, k)` seen on this lane.
+    pub(crate) blockers: Vec<BlockerTable>,
 }
 
 impl NetScratch {
@@ -374,6 +383,15 @@ impl NetScratch {
     pub fn memoized(&self) -> usize {
         self.maps.iter().filter(|m| m.is_some()).count()
     }
+}
+
+/// Source of [`NetView`] stamps. Process-wide, so no two views — not
+/// even two clones of one store that have since diverged — ever hold
+/// the same stamp for different contents.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, AtomicOrdering::Relaxed)
 }
 
 /// The store-side network companion: a grid over *snapped* object
@@ -385,6 +403,7 @@ pub struct NetView {
     space: Arc<NetworkSpace>,
     grid: Grid,
     pos: Vec<Option<NetPos>>,
+    stamp: u64,
 }
 
 impl NetView {
@@ -395,7 +414,16 @@ impl NetView {
             space,
             grid: Grid::new(bounds, n),
             pos: Vec::new(),
+            stamp: fresh_stamp(),
         }
+    }
+
+    /// An identifier of the view's current contents, renewed by every
+    /// mutation. Equal stamps imply equal contents, so per-lane caches
+    /// derived from the view (the RkNN blocker tables) key on it.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// The prepared network.
@@ -430,6 +458,7 @@ impl NetView {
         let np = self.space.snap(raw);
         self.grid.insert(id, np.point);
         self.set_pos(id, np);
+        self.stamp = fresh_stamp();
     }
 
     /// Mirror a store position update.
@@ -437,6 +466,7 @@ impl NetView {
         let np = self.space.snap(raw);
         self.grid.update(id, np.point);
         self.set_pos(id, np);
+        self.stamp = fresh_stamp();
     }
 
     /// Mirror a store remove.
@@ -445,6 +475,7 @@ impl NetView {
         if let Some(slot) = self.pos.get_mut(id.index()) {
             *slot = None;
         }
+        self.stamp = fresh_stamp();
     }
 
     /// Mirror the store's desync fault injection (position slot cleared,
@@ -452,6 +483,7 @@ impl NetView {
     /// the Euclidean ones do.
     #[doc(hidden)]
     pub fn debug_force_desync(&mut self, id: ObjectId) -> bool {
+        self.stamp = fresh_stamp();
         self.grid.debug_force_desync(id)
     }
 }

@@ -42,11 +42,13 @@ pub struct EvalScratch {
     pub neighbors: Vec<Neighbor>,
     /// Alive-region staging for snapshot baselines (TPL).
     pub alive: CellSet,
-    /// Network-distance state: memoized Dijkstra expansions and the
-    /// expansion heap. Unlike the buffers above, the memo *does* carry
-    /// meaning across calls — the graph is static, so cached expansions
-    /// stay valid for the lane's lifetime (and results never depend on
-    /// which entries happen to be warm).
+    /// Network-distance state: memoized Dijkstra expansions, the
+    /// expansion heap and the RkNN blocker tables. Unlike the buffers
+    /// above, these *do* carry meaning across calls — the graph is
+    /// static, so cached expansions stay valid for the lane's lifetime,
+    /// and blocker rows stay valid until the store's network view
+    /// changes stamp (results never depend on which entries happen to
+    /// be warm).
     pub net: NetScratch,
 }
 

@@ -590,6 +590,11 @@ impl ShardedEngine {
             if let Some(t0) = merge_start {
                 m.merge_seconds.observe_duration(t0.elapsed());
             }
+            // Route + evaluate spans the fan-out through the merge, the
+            // sharded counterpart of the serial processor's phase.
+            if let Some(t0) = publish_start {
+                m.pipeline.evaluate_seconds.observe_duration(t0.elapsed());
+            }
             for (w, &load) in self.loads.iter().enumerate() {
                 m.shard_size[w].set(load as f64);
             }

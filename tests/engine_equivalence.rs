@@ -1,9 +1,10 @@
 //! Sharded engine equivalence: for any worker count and placement
 //! policy, the engine must reproduce the serial processor's behaviour
-//! exactly — same answers, same answer sizes, same monitored counts, and
-//! the same per-tick skip decisions — over a randomized update stream
-//! with mid-stream query registration and removal, across all eight
-//! algorithms.
+//! exactly — same answers, same answer sizes, same monitored counts, the
+//! same per-tick skip decisions and the same per-query op counters (so no
+//! lane-local cache leaks lane-dependent work into them) — over a
+//! randomized update stream with mid-stream query registration and
+//! removal, across all eight algorithms.
 //!
 //! Set `IGERN_TEST_WORKERS` to add a worker count to the sweep (the CI
 //! matrix uses this to force a 4-worker leg). Set `IGERN_TEST_BATCH=on`
@@ -184,6 +185,10 @@ fn run_stream(workers: usize, placement: Placement, seed: u64) {
             );
             assert_eq!(ss.answer_size, es.answer_size);
             assert_eq!(ss.monitored, es.monitored);
+            assert_eq!(
+                ss.ops, es.ops,
+                "op counters diverged: query {q} tick {tick} workers {workers}"
+            );
         }
     }
 

@@ -251,3 +251,39 @@ fn bichromatic_desync_is_survived_and_counted() {
     );
     assert_eq!(p.tick(), 1, "the tick must still complete");
 }
+
+/// Both tick engines time their route + evaluate phase: every stepped
+/// tick records exactly one `evaluate_seconds` sample, on the serial
+/// processor and on the sharded engine alike.
+#[test]
+fn evaluate_phase_is_timed_once_per_tick_on_both_engines() {
+    const STEPS: u64 = 12;
+    let registry = MetricsRegistry::new();
+    let serial_metrics = PipelineMetrics::register(&registry, "serial");
+    let engine_metrics = EngineMetrics::register(&registry, "sharded", 2);
+    let mut serial = Processor::new(loaded_store(17));
+    let mut engine = ShardedEngine::new(loaded_store(17), 2, Placement::RoundRobin);
+    serial.set_metrics(Some(serial_metrics.clone()));
+    engine.set_metrics(Some(engine_metrics));
+    for i in 0..4u32 {
+        serial.add_query(ObjectId(i * 3), Algorithm::IgernMono);
+        engine
+            .add_query(ObjectId(i * 3), Algorithm::IgernMono)
+            .expect("valid query");
+    }
+    let mut rng = Lcg::new(0x7153);
+    for _ in 0..STEPS {
+        let ups = [(ObjectId(rng.usize(N_A + N_B) as u32), rng.point(SIDE))];
+        serial.step(&ups);
+        engine.step(&ups);
+    }
+    let sharded = &engine.metrics().expect("metrics attached").pipeline;
+    for (name, m) in [("serial", &serial_metrics), ("sharded", sharded)] {
+        assert_eq!(m.ticks_total.get(), STEPS, "{name} ticks");
+        assert_eq!(
+            m.evaluate_seconds.count(),
+            STEPS,
+            "{name} evaluate_seconds must record one sample per tick"
+        );
+    }
+}
